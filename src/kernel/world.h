@@ -289,8 +289,8 @@ class World {
   /// recording's generative inputs, re-drives it to `expected.at`, and
   /// calls restore() to prove bit-identity. Returns the names of the
   /// diverged components — empty means this world *is* the checkpointed
-  /// one as far as any future execution can tell. (Tasks run on OS
-  /// threads, so restore is re-execution plus verification rather than
+  /// one as far as any future execution can tell. (Tasks run on fiber
+  /// stacks, so restore is re-execution plus verification rather than
   /// stack deserialization; see sim/replay.h.)
   std::vector<std::string> restore(const sim::replay::Snapshot& expected) const;
 

@@ -1,7 +1,7 @@
 // Deterministic checkpoint/replay primitives.
 //
-// A world of cooperative tasks runs each simulated process on a real OS
-// thread, so its instantaneous state (stacks included) cannot be
+// A world of cooperative tasks runs each simulated process on its own
+// fiber stack, so its instantaneous state (stacks included) cannot be
 // serialized byte for byte. What *can* be captured exactly is the other
 // half of the determinism equation: because a run is a pure function of
 // its generative inputs (seed, config, FaultPlan, the timed stimulus

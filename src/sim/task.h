@@ -1,23 +1,22 @@
 // Cooperative tasks: simulated processes as suspendable activities.
 //
-// Each task runs its body on a dedicated OS thread, but exactly one thread
-// (either the executive or one task) is ever running: control is handed
-// over explicitly through resume()/park(). This gives natural blocking
-// syscalls inside process bodies while keeping the simulation
-// single-threaded in effect — and therefore deterministic.
+// Each task runs its body as a stackful fiber on the thread that resumes
+// it (the executive's). Exactly one fiber or the executive is ever
+// running: control is handed over explicitly through resume()/park(),
+// with a hand-written stack switch. This gives natural blocking syscalls
+// inside process bodies while keeping the simulation single-threaded, and
+// therefore deterministic.
 #pragma once
 
-#include <condition_variable>
+#include <cstddef>
 #include <functional>
-#include <mutex>
 #include <string>
-#include <thread>
 
 namespace dpm::sim {
 
 /// Thrown inside a task body when the task is aborted (process killed while
 /// blocked, or simulation teardown). Process bodies must let it propagate;
-/// the task wrapper catches it.
+/// the task's entry frame catches it, so it never crosses a stack boundary.
 struct TaskAborted {};
 
 class Task {
@@ -30,14 +29,16 @@ class Task {
   Task(const Task&) = delete;
   Task& operator=(const Task&) = delete;
 
-  /// Launches the body; the task stays suspended until the first resume().
+  /// Installs the body; the task stays suspended until the first resume().
+  /// The stack is taken from the pool on first resume and returned to it
+  /// as soon as the body finishes.
   void start(Body body);
 
   /// Executive side: runs the task until it parks or finishes.
   /// Precondition: started, not finished, not currently running.
   void resume();
 
-  /// Task side: yields control back to the executive; returns when resumed.
+  /// Task side: yields control back to the resumer; returns when resumed.
   /// Throws TaskAborted if an abort was requested.
   void park();
 
@@ -45,28 +46,30 @@ class Task {
   /// TaskAborted inside the body. Safe to call multiple times.
   void request_abort();
 
-  /// Joins the OS thread once the body has finished, releasing its stack
-  /// mapping. An exited-but-unjoined thread pins one stack mapping each;
-  /// at cluster scale (100k+ simulated processes per world) that hits
-  /// vm.max_map_count long before memory runs out. No-op until finished.
-  void reap();
-
   bool started() const { return started_; }
   bool finished() const { return finished_; }
   bool abort_requested() const { return abort_; }
   const std::string& name() const { return name_; }
 
  private:
-  enum class Turn { executive, task };
+  /// Entry frame of every fiber: runs the body, catching TaskAborted.
+  static void fiber_main(Task* task) noexcept;
 
-  void task_side_wait_for_turn();
+  /// Fiber side of resume()/park(): hands control back to the resumer.
+  void switch_out();
 
   std::string name_;
   Body body_;
-  std::thread thread_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  Turn turn_ = Turn::executive;
+  std::byte* stack_ = nullptr;  // usable stack (guard page below); null
+                                // before first resume and after finish
+  void* sp_ = nullptr;          // fiber's saved stack pointer while parked
+  void* resumer_sp_ = nullptr;  // resumer's saved stack pointer while running
+#if defined(__SANITIZE_ADDRESS__)
+  // The resumer's stack, reported by ASan on each switch into the fiber,
+  // so switch_out() can tell ASan which stack it returns to.
+  const void* resumer_stack_bottom_ = nullptr;
+  std::size_t resumer_stack_size_ = 0;
+#endif
   bool started_ = false;
   bool finished_ = false;
   bool abort_ = false;
