@@ -36,5 +36,7 @@ struct CommStats {
 };
 
 CommStats communication_statistics(const Trace& trace);
+CommStats communication_statistics(const Trace& trace,
+                                   const ConnectionMatcher& matcher);
 
 }  // namespace dpm::analysis

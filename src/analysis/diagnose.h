@@ -33,6 +33,13 @@ struct Diagnosis {
   std::string render() const;
 };
 
+struct ParallelismProfile;
+struct TraceAnalysis;
+
 Diagnosis diagnose(const Trace& trace);
+/// `parallelism` is measure_parallelism(analysis), passed in so a report
+/// that also renders it measures it once.
+Diagnosis diagnose(const TraceAnalysis& analysis,
+                   const ParallelismProfile& parallelism);
 
 }  // namespace dpm::analysis

@@ -1,79 +1,50 @@
 #include "analysis/parallelism.h"
 
 #include <algorithm>
-#include <map>
+#include <vector>
 
-#include "analysis/ordering.h"
+#include "analysis/trace_analysis.h"
 
 namespace dpm::analysis {
 
 ParallelismProfile measure_parallelism(const Trace& trace) {
+  return measure_parallelism(TraceAnalysis(trace));
+}
+
+// Activity is swept on the aligned clock: local clocks are skewed across
+// machines, and the trace's own message pairs say by how much.
+ParallelismProfile measure_parallelism(const TraceAnalysis& analysis) {
   ParallelismProfile out;
-  if (trace.events.empty()) return out;
+  if (analysis.trace.events.empty()) return out;
+  out.processes = analysis.activity.size();
 
-  // Local clocks are skewed across machines; align them using the offsets
-  // deducible from the trace's own message pairs before sweeping.
-  const Ordering ordering = order_events(trace);
-  const ClockAlignment clocks = estimate_clock_alignment(trace, ordering);
-
-  struct ProcWindow {
-    std::int64_t first = 0;
-    std::int64_t last = 0;
-    bool seen = false;
-    // Wait intervals: recvcall -> matching recv on the same socket.
-    std::map<std::uint64_t, std::int64_t> pending_recvcall;  // sock -> time
-    std::vector<std::pair<std::int64_t, std::int64_t>> waits;
-  };
-  std::map<ProcKey, ProcWindow> procs;
-
-  for (const Event& e : trace.events) {
-    ProcWindow& w = procs[e.proc()];
-    const std::int64_t t = clocks.aligned(e);
-    if (!w.seen) {
-      w.first = t;
-      w.last = t;
-      w.seen = true;
-    }
-    w.last = std::max(w.last, t);
-    if (e.type == meter::EventType::recvcall) {
-      w.pending_recvcall[e.sock] = t;
-    } else if (e.type == meter::EventType::recv) {
-      auto it = w.pending_recvcall.find(e.sock);
-      if (it != w.pending_recvcall.end()) {
-        if (t > it->second) w.waits.emplace_back(it->second, t);
-        w.pending_recvcall.erase(it);
-      }
-    }
-  }
-  out.processes = procs.size();
-
-  // Build +1/-1 deltas for activity intervals (window minus waits).
-  std::map<std::int64_t, int> deltas;
+  // +1/-1 deltas for activity intervals (window minus waits), swept in
+  // time order; deltas at the same instant apply together.
+  std::vector<std::pair<std::int64_t, int>> deltas;
   std::int64_t lo = INT64_MAX, hi = INT64_MIN;
-  for (auto& [key, w] : procs) {
-    lo = std::min(lo, w.first);
-    hi = std::max(hi, w.last);
-    deltas[w.first] += 1;
-    deltas[w.last] -= 1;
-    for (auto& [a, b] : w.waits) {
-      const std::int64_t wa = std::clamp(a, w.first, w.last);
-      const std::int64_t wb = std::clamp(b, w.first, w.last);
+  for (const auto& [key, p] : analysis.activity) {
+    lo = std::min(lo, p.first);
+    hi = std::max(hi, p.max);
+    deltas.emplace_back(p.first, 1);
+    deltas.emplace_back(p.max, -1);
+    for (const auto& w : p.waits) {
+      const std::int64_t wa = std::clamp(w.from, p.first, p.max);
+      const std::int64_t wb = std::clamp(w.to, p.first, p.max);
       if (wb <= wa) continue;
-      deltas[wa] -= 1;
-      deltas[wb] += 1;
+      deltas.emplace_back(wa, -1);
+      deltas.emplace_back(wb, 1);
     }
   }
-  if (hi <= lo) {
-    out.total_us = 0;
-    return out;
-  }
+  if (hi <= lo) return out;
   out.total_us = hi - lo;
-  out.time_at_level.assign(procs.size() + 1, 0);
+  out.time_at_level.assign(out.processes + 1, 0);
 
+  std::sort(deltas.begin(), deltas.end());
   int level = 0;
   std::int64_t prev = lo;
   double weighted = 0.0;
-  for (const auto& [t, d] : deltas) {
+  for (std::size_t i = 0; i < deltas.size();) {
+    const std::int64_t t = deltas[i].first;
     if (t > prev && level >= 0) {
       const std::int64_t span = t - prev;
       const std::size_t k =
@@ -82,7 +53,9 @@ ParallelismProfile measure_parallelism(const Trace& trace) {
       out.time_at_level[k] += span;
       weighted += static_cast<double>(level) * static_cast<double>(span);
     }
-    level += d;
+    for (; i < deltas.size() && deltas[i].first == t; ++i) {
+      level += deltas[i].second;
+    }
     prev = t;
   }
   out.average = out.total_us > 0 ? weighted / static_cast<double>(out.total_us) : 0.0;

@@ -34,6 +34,9 @@ struct ParallelismProfile {
   }
 };
 
+struct TraceAnalysis;
+
 ParallelismProfile measure_parallelism(const Trace& trace);
+ParallelismProfile measure_parallelism(const TraceAnalysis& analysis);
 
 }  // namespace dpm::analysis

@@ -1,5 +1,6 @@
 #include "analysis/report.h"
 
+#include "analysis/trace_analysis.h"
 #include "util/strings.h"
 
 namespace dpm::analysis {
@@ -91,13 +92,13 @@ std::string render_connections(const std::vector<ConnStat>& conns) {
 }
 
 std::string full_report(const Trace& trace) {
-  const CommStats stats = communication_statistics(trace);
-  const Ordering ordering = order_events(trace);
-  const ParallelismProfile parallelism = measure_parallelism(trace);
-  return render_comm_stats(stats) + render_connections(connection_table(trace)) +
-         render_ordering(trace, ordering) + render_parallelism(parallelism) +
-         "== timeline ==\n" + render_timeline(trace) +
-         diagnose(trace).render();
+  const TraceAnalysis analysis(trace);
+  const ParallelismProfile parallelism = measure_parallelism(analysis);
+  return render_comm_stats(analysis.stats) +
+         render_connections(connection_table(trace, analysis.matcher)) +
+         render_ordering(trace, analysis.ordering) +
+         render_parallelism(parallelism) + "== timeline ==\n" +
+         render_timeline(analysis) + diagnose(analysis, parallelism).render();
 }
 
 }  // namespace dpm::analysis

@@ -18,7 +18,9 @@ std::string render_ordering(const Trace& trace, const Ordering& ordering);
 std::string render_parallelism(const ParallelismProfile& profile);
 std::string render_connections(const std::vector<ConnStat>& conns);
 
-/// Runs every analysis over a trace and concatenates the reports.
+/// Runs every analysis over a trace and concatenates the reports. The
+/// sections share one TraceAnalysis: the ordering, clock alignment,
+/// connection matching, statistics and activity sweep are derived once.
 std::string full_report(const Trace& trace);
 
 }  // namespace dpm::analysis

@@ -7,6 +7,15 @@
 
 namespace dpm::analysis {
 
+namespace {
+
+struct Tally {
+  std::uint64_t messages = 0;
+  std::uint64_t bytes = 0;
+};
+
+}  // namespace
+
 ConnectionMatcher::ConnectionMatcher(const Trace& trace) {
   // Connect and accept records may appear in either order in the log
   // (each process's meter connection flushes independently), so both
@@ -73,12 +82,10 @@ const CommEdge* CommGraph::edge(const ProcKey& from, const ProcKey& to) const {
 }
 
 CommGraph build_comm_graph(const Trace& trace) {
-  ConnectionMatcher matcher(trace);
+  return build_comm_graph(trace, ConnectionMatcher(trace));
+}
 
-  struct Tally {
-    std::uint64_t messages = 0;
-    std::uint64_t bytes = 0;
-  };
+CommGraph build_comm_graph(const Trace& trace, const ConnectionMatcher& matcher) {
   // Directed stream channels, keyed by the sending endpoint.
   std::map<std::pair<ProcKey, std::uint64_t>, Tally> chan_sends;
   std::map<std::pair<ProcKey, std::uint64_t>, Tally> chan_recvs;
@@ -137,9 +144,7 @@ CommGraph build_comm_graph(const Trace& trace) {
   }
 
   CommGraph g;
-  std::set<ProcKey> nodes;
-  for (const auto& e : trace.events) nodes.insert(e.proc());
-  g.nodes.assign(nodes.begin(), nodes.end());
+  g.nodes = trace.processes();
   for (const auto& [key, t] : edges) {
     g.edges.push_back(CommEdge{key.first, key.second, t.messages, t.bytes});
   }
@@ -150,13 +155,12 @@ CommGraph build_comm_graph(const Trace& trace) {
 }
 
 std::vector<ConnStat> connection_table(const Trace& trace) {
-  ConnectionMatcher matcher(trace);
+  return connection_table(trace, ConnectionMatcher(trace));
+}
 
+std::vector<ConnStat> connection_table(const Trace& trace,
+                                       const ConnectionMatcher& matcher) {
   // Traffic per sending endpoint.
-  struct Tally {
-    std::uint64_t messages = 0;
-    std::uint64_t bytes = 0;
-  };
   std::map<Endpoint, Tally> sends;
   for (const Event& e : trace.events) {
     if (e.type == meter::EventType::send && e.dest_name.empty()) {

@@ -64,6 +64,7 @@ struct CommGraph {
 };
 
 CommGraph build_comm_graph(const Trace& trace);
+CommGraph build_comm_graph(const Trace& trace, const ConnectionMatcher& matcher);
 
 /// Per-connection statistics: each matched stream connection with its
 /// traffic in both directions (the channel-level view of the structure
@@ -78,5 +79,7 @@ struct ConnStat {
 };
 
 std::vector<ConnStat> connection_table(const Trace& trace);
+std::vector<ConnStat> connection_table(const Trace& trace,
+                                       const ConnectionMatcher& matcher);
 
 }  // namespace dpm::analysis

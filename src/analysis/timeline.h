@@ -20,6 +20,10 @@ struct TimelineOptions {
   bool show_legend = true;
 };
 
+struct TraceAnalysis;
+
 std::string render_timeline(const Trace& trace, TimelineOptions opts = {});
+std::string render_timeline(const TraceAnalysis& analysis,
+                            TimelineOptions opts = {});
 
 }  // namespace dpm::analysis

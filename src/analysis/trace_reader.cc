@@ -7,39 +7,6 @@
 
 namespace dpm::analysis {
 
-std::string proc_key_text(const ProcKey& k) {
-  return util::strprintf("m%u/p%d", k.machine, k.pid);
-}
-
-std::optional<Event> event_from_record(const filter::Record& rec) {
-  auto type = meter::event_by_name(util::to_lower(rec.event_name));
-  if (!type) {
-    // Description files name events in caps ("SEND"); map a few aliases.
-    const std::string lower = util::to_lower(rec.event_name);
-    if (lower == "receive") type = meter::EventType::recv;
-    else if (lower == "socket") type = meter::EventType::sockcrt;
-    else if (lower == "destsock") type = meter::EventType::destsock;
-    else return std::nullopt;
-  }
-  Event e;
-  e.type = *type;
-  if (auto v = rec.num("machine")) e.machine = static_cast<std::uint16_t>(*v);
-  if (auto v = rec.num("cpuTime")) e.cpu_time = *v;
-  if (auto v = rec.num("procTime")) e.proc_time = *v;
-  if (auto v = rec.num("pid")) e.pid = static_cast<std::int32_t>(*v);
-  if (auto v = rec.num("pc")) e.pc = static_cast<std::uint32_t>(*v);
-  if (auto v = rec.num("sock")) e.sock = static_cast<std::uint64_t>(*v);
-  if (auto v = rec.num("newSock")) e.new_sock = static_cast<std::uint64_t>(*v);
-  if (auto v = rec.num("msgLength")) e.msg_length = static_cast<std::uint32_t>(*v);
-  if (auto v = rec.num("newPid")) e.new_pid = static_cast<std::int32_t>(*v);
-  if (auto v = rec.num("status")) e.status = static_cast<std::int32_t>(*v);
-  if (auto v = rec.text("destName")) e.dest_name = *v;
-  if (auto v = rec.text("sourceName")) e.source_name = *v;
-  if (auto v = rec.text("sockName")) e.sock_name = *v;
-  if (auto v = rec.text("peerName")) e.peer_name = *v;
-  return e;
-}
-
 namespace {
 
 /// Case-insensitive match of `s` against an all-lowercase literal.
@@ -75,23 +42,6 @@ std::optional<meter::EventType> type_for_name(std::string_view name) {
   return std::nullopt;
 }
 
-std::string unescape_value(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] == '%' && i + 2 < s.size()) {
-      auto hi = util::parse_int_base(s.substr(i + 1, 2), 16);
-      if (hi) {
-        out.push_back(static_cast<char>(*hi));
-        i += 2;
-        continue;
-      }
-    }
-    out.push_back(s[i]);
-  }
-  return out;
-}
-
 /// The Event's copy of a string field. Numeric tokens are canonicalized
 /// through their parsed value, matching what the Record-based path
 /// produced (parse_trace_line + field_value_text).
@@ -100,63 +50,83 @@ std::string text_of(std::string_view value) {
   return std::string(value);
 }
 
+/// Stores `value` into `field` when it parses as an integer.
+template <typename T>
+void set_num(T& field, std::string_view value) {
+  if (const auto n = util::parse_int(value)) field = static_cast<T>(*n);
+}
+
 void apply_field(Event& e, std::string_view name, std::string_view value) {
-  const auto num = util::parse_int(value);
-  if (name == "machine") {
-    if (num) e.machine = static_cast<std::uint16_t>(*num);
-  } else if (name == "cpuTime") {
-    if (num) e.cpu_time = *num;
-  } else if (name == "procTime") {
-    if (num) e.proc_time = *num;
-  } else if (name == "pid") {
-    if (num) e.pid = static_cast<std::int32_t>(*num);
-  } else if (name == "pc") {
-    if (num) e.pc = static_cast<std::uint32_t>(*num);
-  } else if (name == "sock") {
-    if (num) e.sock = static_cast<std::uint64_t>(*num);
-  } else if (name == "newSock") {
-    if (num) e.new_sock = static_cast<std::uint64_t>(*num);
-  } else if (name == "msgLength") {
-    if (num) e.msg_length = static_cast<std::uint32_t>(*num);
-  } else if (name == "newPid") {
-    if (num) e.new_pid = static_cast<std::int32_t>(*num);
-  } else if (name == "status") {
-    if (num) e.status = static_cast<std::int32_t>(*num);
-  } else if (name == "destName") {
-    e.dest_name = text_of(value);
-  } else if (name == "sourceName") {
-    e.source_name = text_of(value);
-  } else if (name == "sockName") {
-    e.sock_name = text_of(value);
-  } else if (name == "peerName") {
-    e.peer_name = text_of(value);
-  }
+  if (name == "machine") set_num(e.machine, value);
+  else if (name == "cpuTime") set_num(e.cpu_time, value);
+  else if (name == "procTime") set_num(e.proc_time, value);
+  else if (name == "pid") set_num(e.pid, value);
+  else if (name == "pc") set_num(e.pc, value);
+  else if (name == "sock") set_num(e.sock, value);
+  else if (name == "newSock") set_num(e.new_sock, value);
+  else if (name == "msgLength") set_num(e.msg_length, value);
+  else if (name == "newPid") set_num(e.new_pid, value);
+  else if (name == "status") set_num(e.status, value);
+  else if (name == "destName") e.dest_name = text_of(value);
+  else if (name == "sourceName") e.source_name = text_of(value);
+  else if (name == "sockName") e.sock_name = text_of(value);
+  else if (name == "peerName") e.peer_name = text_of(value);
   // Other names (size, traceType, ...) carry nothing the Event keeps.
 }
 
 }  // namespace
+
+std::string proc_key_text(const ProcKey& k) {
+  return util::strprintf("m%u/p%d", k.machine, k.pid);
+}
+
+std::optional<Event> event_from_record(const filter::Record& rec) {
+  const auto type = type_for_name(rec.event_name);
+  if (!type) return std::nullopt;
+  Event e;
+  e.type = *type;
+  if (auto v = rec.num("machine")) e.machine = static_cast<std::uint16_t>(*v);
+  if (auto v = rec.num("cpuTime")) e.cpu_time = *v;
+  if (auto v = rec.num("procTime")) e.proc_time = *v;
+  if (auto v = rec.num("pid")) e.pid = static_cast<std::int32_t>(*v);
+  if (auto v = rec.num("pc")) e.pc = static_cast<std::uint32_t>(*v);
+  if (auto v = rec.num("sock")) e.sock = static_cast<std::uint64_t>(*v);
+  if (auto v = rec.num("newSock")) e.new_sock = static_cast<std::uint64_t>(*v);
+  if (auto v = rec.num("msgLength")) e.msg_length = static_cast<std::uint32_t>(*v);
+  if (auto v = rec.num("newPid")) e.new_pid = static_cast<std::int32_t>(*v);
+  if (auto v = rec.num("status")) e.status = static_cast<std::int32_t>(*v);
+  if (auto v = rec.text("destName")) e.dest_name = *v;
+  if (auto v = rec.text("sourceName")) e.source_name = *v;
+  if (auto v = rec.text("sockName")) e.sock_name = *v;
+  if (auto v = rec.text("peerName")) e.peer_name = *v;
+  return e;
+}
 
 /// Tokens are scanned as views; the only allocations are the Event's own
 /// string fields (and an unescape scratch, for the rare '%'-escaped
 /// value).
 bool parse_trace_event_line(std::string_view line, Event& e) {
   bool saw_event = false;
-  std::size_t pos = 0;
-  while (pos < line.size()) {
-    while (pos < line.size() && (line[pos] == ' ' || line[pos] == '\t')) ++pos;
-    if (pos >= line.size()) break;
-    std::size_t end = line.find_first_of(" \t", pos);
-    if (end == std::string_view::npos) end = line.size();
-    const std::string_view tok = line.substr(pos, end - pos);
-    pos = end;
-
-    const std::size_t eq = tok.find('=');
-    if (eq == std::string_view::npos || eq == 0) return false;
-    const std::string_view name = tok.substr(0, eq);
-    std::string_view value = tok.substr(eq + 1);
+  const char* p = line.data();
+  const char* const end = p + line.size();
+  while (true) {
+    while (p < end && (*p == ' ' || *p == '\t')) ++p;
+    if (p == end) break;
+    // One pass over the token finds its end, its first '=' and whether
+    // its value carries an escape.
+    const char* const tok = p;
+    const char* eq = nullptr;
+    bool escaped = false;
+    for (; p < end && *p != ' ' && *p != '\t'; ++p) {
+      if (*p == '=' && !eq) eq = p;
+      else if (*p == '%' && eq) escaped = true;
+    }
+    if (!eq || eq == tok) return false;
+    const std::string_view name(tok, static_cast<std::size_t>(eq - tok));
+    std::string_view value(eq + 1, static_cast<std::size_t>(p - eq - 1));
     std::string scratch;
-    if (value.find('%') != std::string_view::npos) {
-      scratch = unescape_value(value);
+    if (escaped) {
+      scratch = filter::unescape_value(value);
       value = scratch;
     }
     if (name == "event") {
@@ -173,6 +143,8 @@ bool parse_trace_event_line(std::string_view line, Event& e) {
 
 Trace read_trace(const std::string& text) {
   Trace out;
+  out.events.reserve(
+      static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n')) + 1);
   const std::string_view sv{text};
   std::size_t start = 0;
   while (start < sv.size()) {

@@ -50,6 +50,18 @@ TEST(Trace, EscapesAwkwardValues) {
   EXPECT_EQ(parsed->text("destName").value(), "a b=c");
 }
 
+TEST(Trace, PercentEscapeNeedsTwoHexDigits) {
+  // A sign is not a hex digit: "%-1" stays literal instead of decoding to
+  // the byte 0xff.
+  auto hostile = parse_trace_line("event=SEND destName=a%-1b");
+  ASSERT_TRUE(hostile.has_value());
+  EXPECT_EQ(hostile->text("destName").value(), "a%-1b");
+  auto escaped = parse_trace_line("event=SEND destName=a%41b");
+  ASSERT_TRUE(escaped.has_value());
+  EXPECT_EQ(escaped->text("destName").value(), "aAb");
+  EXPECT_EQ(unescape_value("%+1%4%zz%4A"), "%+1%4%zzJ");
+}
+
 TEST(Trace, ParseWholeFile) {
   std::string file = trace_line(sample_record(), {}) +
                      "# comment line\n"
