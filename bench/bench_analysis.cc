@@ -4,6 +4,8 @@
 // recovery under heavy clock skew.
 //
 // Counters:
+//   MB             read_trace input consumed per second (shown as MB/s),
+//                  on a ring-shaped log
 //   events_per_s   analysis throughput (real time)
 //   pairs          matched send/receive pairs found
 //   anomalies      clock anomalies detected
@@ -57,6 +59,59 @@ std::string synthetic_trace(int pairs, int msgs, std::int64_t skew_us) {
     emit(meter::MeterTermProc{pid_b, 0, 0}, mb, 1200 + msgs * 400);
   }
   return out;
+}
+
+/// A ring-shaped trace like a metered ring session's log: `nodes`
+/// processes, one per machine, each connected to the next; every round
+/// each node sends to its successor, then waits for and receives from its
+/// predecessor. Lines carry the standard descriptions' fields (about 120
+/// bytes and 11 fields for a SEND or RECEIVE).
+std::string ring_trace(int nodes, int rounds) {
+  const filter::Descriptions desc =
+      *filter::Descriptions::parse(filter::default_descriptions_text());
+  std::string out;
+  auto emit = [&](meter::MeterBody body, int node, std::int64_t t) {
+    meter::MeterMsg m;
+    m.body = std::move(body);
+    m.header.machine = static_cast<std::uint16_t>(node + 1);
+    m.header.cpu_time = 4'000'000 + t + node * 1'500;
+    m.header.proc_time = t / 10;
+    out += filter::trace_line(*desc.decode(m.serialize()), {});
+  };
+  const auto pid = [](int node) { return 101 + node % 3; };
+  const auto name = [](int node) { return std::to_string(900000 + node); };
+  for (int i = 0; i < nodes; ++i) {
+    const int next = (i + 1) % nodes;
+    emit(meter::MeterSockCrt{pid(i), 0, 150, 2, 1, 0}, i, 0);
+    emit(meter::MeterConnect{pid(i), 0, 150, name(i), name(next) + "0"}, i, 200);
+    emit(meter::MeterAccept{pid(next), 0, 160, 161, name(next) + "0", name(i)},
+         next, 300);
+  }
+  for (int r = 0; r < rounds; ++r) {
+    for (int i = 0; i < nodes; ++i) {
+      const std::int64_t t = 1'000 + r * 2'000;
+      const auto len = static_cast<std::uint32_t>(16 + r % 48);
+      emit(meter::MeterSend{pid(i), 0, 150, len, ""}, i, t);
+      emit(meter::MeterRecvCall{pid(i), 0, 161}, i, t + 100);
+      emit(meter::MeterRecv{pid(i), 0, 161, len, ""}, i, t + 900);
+    }
+  }
+  return out;
+}
+
+void BM_ReadTraceRing(benchmark::State& state) {
+  const std::string text = ring_trace(16, static_cast<int>(state.range(0)));
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    analysis::Trace t = analysis::read_trace(text);
+    benchmark::DoNotOptimize(t.events.data());
+    bytes += text.size();
+  }
+  state.counters["MB"] = benchmark::Counter(
+      static_cast<double>(bytes) / 1e6, benchmark::Counter::kIsRate);
+  state.counters["bytes_per_line"] =
+      static_cast<double>(text.size()) /
+      static_cast<double>(analysis::read_trace(text).events.size());
 }
 
 void BM_TraceParse(benchmark::State& state) {
@@ -135,6 +190,7 @@ void BM_FullReport(benchmark::State& state) {
   }
 }
 
+BENCHMARK(BM_ReadTraceRing)->Arg(2000);
 BENCHMARK(BM_TraceParse)->Arg(2)->Arg(8)->Arg(32);
 BENCHMARK(BM_CommStats)->Arg(2)->Arg(8)->Arg(32);
 BENCHMARK(BM_Ordering)->Arg(2)->Arg(8)->Arg(32);

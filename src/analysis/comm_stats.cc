@@ -3,19 +3,26 @@
 namespace dpm::analysis {
 
 CommStats communication_statistics(const Trace& trace) {
-  return communication_statistics(trace, ConnectionMatcher(trace));
+  return communication_statistics(trace, ConnectionMatcher(trace),
+                                  ProcIndex(trace));
 }
 
 CommStats communication_statistics(const Trace& trace,
-                                   const ConnectionMatcher& matcher) {
+                                   const ConnectionMatcher& matcher,
+                                   const ProcIndex& procs) {
   CommStats out;
-  out.graph = build_comm_graph(trace, matcher);
+  out.graph = build_comm_graph(trace, matcher, procs);
 
-  for (const Event& e : trace.events) {
-    auto [it, first_seen] = out.per_process.try_emplace(e.proc());
-    ProcessStats& p = it->second;
+  // Counted per process slot; the map is built once at the end.
+  std::vector<ProcessStats> per_slot(procs.keys.size());
+  std::vector<char> seen(procs.keys.size(), 0);
+  for (std::size_t i = 0; i < trace.events.size(); ++i) {
+    const Event& e = trace.events[i];
+    const std::uint32_t s = procs.slot[i];
+    ProcessStats& p = per_slot[s];
     ++out.total_events;
-    if (first_seen) p.first_cpu_time = e.cpu_time;
+    if (!seen[s]) p.first_cpu_time = e.cpu_time;
+    seen[s] = 1;
     p.last_cpu_time = e.cpu_time;
     p.final_proc_time = e.proc_time;
 
@@ -54,6 +61,10 @@ CommStats communication_statistics(const Trace& trace,
       case meter::EventType::dup:
         break;
     }
+  }
+  for (std::size_t s = 0; s < per_slot.size(); ++s) {
+    out.per_process.emplace_hint(out.per_process.end(), procs.keys[s],
+                                 per_slot[s]);
   }
   return out;
 }

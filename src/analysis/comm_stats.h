@@ -36,7 +36,10 @@ struct CommStats {
 };
 
 CommStats communication_statistics(const Trace& trace);
+/// Same, with the trace's connection matcher and process index already
+/// built.
 CommStats communication_statistics(const Trace& trace,
-                                   const ConnectionMatcher& matcher);
+                                   const ConnectionMatcher& matcher,
+                                   const ProcIndex& procs);
 
 }  // namespace dpm::analysis

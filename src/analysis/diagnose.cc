@@ -46,11 +46,11 @@ Diagnosis diagnose(const TraceAnalysis& analysis,
     const std::int64_t window = p.max - p.min;
     if (window <= 0) continue;
     std::int64_t waiting = 0;
-    std::map<ProcKey, std::int64_t> waited_on;  // peer -> summed wait
+    std::map<std::uint32_t, std::int64_t> waited_on;  // peer slot -> wait
     for (const auto& w : p.waits) {
       waiting += w.to - w.from;
       if (const auto& send = analysis.ordering.events[w.recv].matched_send) {
-        waited_on[trace.events[*send].proc()] += w.to - w.from;
+        waited_on[analysis.procs.slot[*send]] += w.to - w.from;
       }
     }
     const double frac = static_cast<double>(waiting) /
@@ -63,7 +63,8 @@ Diagnosis diagnose(const TraceAnalysis& analysis,
         waited_on.begin(), waited_on.end(),
         [](const auto& a, const auto& b) { return a.second < b.second; });
     if (dominant != waited_on.end() && dominant->second > 0) {
-      msg += ", mostly on " + proc_key_text(dominant->first);
+      msg += ", mostly on " +
+             proc_key_text(analysis.procs.keys[dominant->first]);
     }
     d.findings.push_back({Severity::warning, "wait", msg});
   }

@@ -33,10 +33,28 @@ std::optional<std::size_t> LiveAnalysis::matched_send_of(std::size_t i) const {
   return n.pair_peer;
 }
 
+namespace {
+
+// Trace timestamps are outside input and may lie anywhere in the int64
+// range, so differences and path sums saturate instead of overflowing.
+std::int64_t sat_sub(std::int64_t a, std::int64_t b) {
+  std::int64_t d;
+  if (__builtin_sub_overflow(a, b, &d)) return a < b ? INT64_MIN : INT64_MAX;
+  return d;
+}
+
+std::int64_t sat_add(std::int64_t a, std::int64_t b) {
+  std::int64_t s;
+  if (__builtin_add_overflow(a, b, &s)) return a < 0 ? INT64_MIN : INT64_MAX;
+  return s;
+}
+
+}  // namespace
+
 std::int64_t LiveAnalysis::edge_weight(std::uint32_t u, std::uint32_t v) const {
   // Elapsed local (program edge) or cross-clock (message edge) time, clamped
   // at zero so skewed clocks never produce negative path costs.
-  return std::max<std::int64_t>(0, nodes_[v].t_us - nodes_[u].t_us);
+  return std::max<std::int64_t>(0, sat_sub(nodes_[v].t_us, nodes_[u].t_us));
 }
 
 bool LiveAnalysis::relax(std::uint32_t u, std::uint32_t v, EdgeKind kind) {
@@ -51,7 +69,7 @@ bool LiveAnalysis::relax(std::uint32_t u, std::uint32_t v, EdgeKind kind) {
       g_max_lamport_->set(static_cast<std::int64_t>(max_lamport_));
     }
   }
-  const std::int64_t cost = nu.cost + edge_weight(u, v);
+  const std::int64_t cost = sat_add(nu.cost, edge_weight(u, v));
   if (cost > nv.cost || nv.pred == kNone) {
     if (cost > nv.cost) changed = true;
     nv.cost = std::max(nv.cost, cost);
@@ -107,14 +125,14 @@ void LiveAnalysis::on_pair(const PairingCore::Pair& p) {
 
   ++message_pairs_;
   c_pairs_->add(1);
-  const std::int64_t raw_latency = r.t_us - s.t_us;
+  const std::int64_t raw_latency = sat_sub(r.t_us, s.t_us);
   if (s.proc.machine != r.proc.machine) {
     ++cross_machine_pairs_;
     c_cross_->add(1);
     if (raw_latency < 0) {
       ++clock_anomalies_;
       c_anomalies_->add(1);
-      max_anomaly_us_ = std::max(max_anomaly_us_, -raw_latency);
+      max_anomaly_us_ = std::max(max_anomaly_us_, sat_sub(0, raw_latency));
     }
   }
   const std::int64_t latency = std::max<std::int64_t>(0, raw_latency);
@@ -295,9 +313,11 @@ LiveAnalysis::CriticalPath LiveAnalysis::critical_path() const {
     step.from_proc = nodes_[u].proc;
     step.to_proc = nodes_[v].proc;
     if (step.kind == EdgeKind::message) {
-      out.channel_us[{step.from_proc, step.to_proc}] += step.elapsed_us;
+      std::int64_t& us = out.channel_us[{step.from_proc, step.to_proc}];
+      us = sat_add(us, step.elapsed_us);
     } else {
-      out.proc_us[step.to_proc] += step.elapsed_us;
+      std::int64_t& us = out.proc_us[step.to_proc];
+      us = sat_add(us, step.elapsed_us);
     }
     out.steps.push_back(step);
     v = u;

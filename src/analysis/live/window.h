@@ -9,6 +9,7 @@
 // monotonically; advance() clamps regressions instead of un-evicting.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <utility>
@@ -32,6 +33,9 @@ class RollingWindow {
   void advance(std::int64_t now_us) {
     if (now_us < now_us_) return;
     now_us_ = now_us;
+    // Trace timestamps may lie anywhere in the int64 range: near its
+    // bottom the cutoff lies below every entry.
+    if (now_us_ < INT64_MIN + span_us_) return;
     const std::int64_t cutoff = now_us_ - span_us_;
     while (!entries_.empty() && entries_.front().first <= cutoff) {
       sum_ -= entries_.front().second;
@@ -40,7 +44,10 @@ class RollingWindow {
   }
 
   std::size_t count() const { return entries_.size(); }
-  std::int64_t sum() const { return sum_; }
+  std::int64_t sum() const {
+    return static_cast<std::int64_t>(
+        std::clamp<__int128>(sum_, INT64_MIN, INT64_MAX));
+  }
   std::int64_t span_us() const { return span_us_; }
 
   /// sum / window-span, in per-second units.
@@ -51,7 +58,7 @@ class RollingWindow {
  private:
   std::deque<std::pair<std::int64_t, std::int64_t>> entries_;
   std::int64_t span_us_;
-  std::int64_t sum_ = 0;
+  __int128 sum_ = 0;  // wide: weights (latencies) may each be near INT64_MAX
   std::int64_t now_us_ = INT64_MIN;
 };
 

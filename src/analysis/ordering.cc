@@ -1,15 +1,17 @@
 #include "analysis/ordering.h"
 
 #include <algorithm>
-#include <deque>
-#include <map>
-#include <set>
+#include <unordered_map>
 
 #include "analysis/live/pairing.h"
 
 namespace dpm::analysis {
 
 Ordering order_events(const Trace& trace) {
+  return order_events(trace, ProcIndex(trace));
+}
+
+Ordering order_events(const Trace& trace, const ProcIndex& procs) {
   Ordering out;
   const std::size_t n = trace.events.size();
   out.events.resize(n);
@@ -48,14 +50,14 @@ Ordering order_events(const Trace& trace) {
   }
 
   // ---- Program order within each process ----
-  std::map<ProcKey, std::size_t> last_of;
+  std::vector<std::size_t> last_of(procs.keys.size(), kNone);
   for (std::size_t i = 0; i < n; ++i) {
-    auto [it, fresh] = last_of.try_emplace(trace.events[i].proc(), i);
-    if (!fresh) {
-      next_in_proc[it->second] = i;
+    std::size_t& last = last_of[procs.slot[i]];
+    if (last != kNone) {
+      next_in_proc[last] = i;
       ++indeg[i];
-      it->second = i;
     }
+    last = i;
   }
 
   // ---- Lamport clocks by topological order (Kahn) ----
@@ -80,30 +82,45 @@ Ordering order_events(const Trace& trace) {
 
 ClockAlignment estimate_clock_alignment(const Trace& trace,
                                         const Ordering& ordering) {
+  return estimate_clock_alignment(trace, ordering, ProcIndex(trace));
+}
+
+ClockAlignment estimate_clock_alignment(const Trace& trace,
+                                        const Ordering& ordering,
+                                        const ProcIndex& procs) {
   ClockAlignment out;
+  if (procs.keys.empty()) return out;
+
+  // The machines present, ascending: the index's keys are in machine order.
+  std::vector<std::uint16_t> machines;
+  for (const ProcKey& k : procs.keys) {
+    if (machines.empty() || machines.back() != k.machine) {
+      machines.push_back(k.machine);
+    }
+  }
 
   // Minimum observed (recv - send) per directed machine pair.
-  std::map<std::pair<std::uint16_t, std::uint16_t>, std::int64_t> min_delta;
-  std::set<std::uint16_t> machines;
-  for (const Event& e : trace.events) machines.insert(e.machine);
-
+  const auto pair_key = [](std::uint16_t from, std::uint16_t to) {
+    return std::uint32_t{from} << 16 | to;
+  };
+  std::unordered_map<std::uint32_t, std::int64_t> min_delta;
   for (const OrderedEvent& oe : ordering.events) {
     if (!oe.matched_send) continue;
     const Event& recv = trace.events[oe.index];
     const Event& send = trace.events[*oe.matched_send];
     if (recv.machine == send.machine) continue;
     const std::int64_t delta = recv.cpu_time - send.cpu_time;
-    auto key = std::make_pair(send.machine, recv.machine);
-    auto it = min_delta.find(key);
-    if (it == min_delta.end() || delta < it->second) min_delta[key] = delta;
+    const auto [it, fresh] =
+        min_delta.try_emplace(pair_key(send.machine, recv.machine), delta);
+    if (!fresh) it->second = std::min(it->second, delta);
   }
 
   // Pairwise offset estimates; BFS over the "has traffic" graph anchors
   // each component at its lowest machine id.
   auto pair_offset = [&](std::uint16_t a,
                          std::uint16_t b) -> std::optional<std::int64_t> {
-    auto ab = min_delta.find({a, b});
-    auto ba = min_delta.find({b, a});
+    auto ab = min_delta.find(pair_key(a, b));
+    auto ba = min_delta.find(pair_key(b, a));
     if (ab != min_delta.end() && ba != min_delta.end()) {
       return (ab->second - ba->second) / 2;  // offset_b - offset_a
     }
@@ -112,24 +129,26 @@ ClockAlignment estimate_clock_alignment(const Trace& trace,
     return std::nullopt;
   };
 
-  std::set<std::uint16_t> done;
+  out.by_machine.assign(machines.back() + 1u, 0);
+  std::vector<char> done(out.by_machine.size(), 0);
   for (std::uint16_t root : machines) {
-    if (done.count(root)) continue;
-    out.offset_us[root] = 0;
-    done.insert(root);
-    std::deque<std::uint16_t> frontier{root};
-    while (!frontier.empty()) {
-      const std::uint16_t a = frontier.front();
-      frontier.pop_front();
+    if (done[root]) continue;
+    done[root] = 1;
+    std::vector<std::uint16_t> frontier{root};  // FIFO: read from `head`
+    for (std::size_t head = 0; head < frontier.size(); ++head) {
+      const std::uint16_t a = frontier[head];
       for (std::uint16_t b : machines) {
-        if (done.count(b)) continue;
+        if (done[b]) continue;
         auto off = pair_offset(a, b);
         if (!off) continue;
-        out.offset_us[b] = out.offset_us[a] + *off;
-        done.insert(b);
+        out.by_machine[b] = out.by_machine[a] + *off;
+        done[b] = 1;
         frontier.push_back(b);
       }
     }
+  }
+  for (std::uint16_t m : machines) {
+    out.offset_us.emplace_hint(out.offset_us.end(), m, out.by_machine[m]);
   }
   return out;
 }

@@ -45,6 +45,8 @@ struct Ordering {
 };
 
 Ordering order_events(const Trace& trace);
+/// Same, with the trace's process index already built.
+Ordering order_events(const Trace& trace, const ProcIndex& procs);
 
 /// Per-machine clock offset estimates derived from the trace itself.
 ///
@@ -56,15 +58,22 @@ Ordering order_events(const Trace& trace);
 /// machines with no cross-traffic keep offset 0.
 struct ClockAlignment {
   std::map<std::uint16_t, std::int64_t> offset_us;
+  /// The same offsets indexed by machine id (0 for a machine the trace
+  /// lacks), so aligning an event is one vector read.
+  std::vector<std::int64_t> by_machine;
 
   /// The event's local time shifted onto the reference machine's clock.
   std::int64_t aligned(const Event& e) const {
-    auto it = offset_us.find(e.machine);
-    return it == offset_us.end() ? e.cpu_time : e.cpu_time - it->second;
+    return e.machine < by_machine.size() ? e.cpu_time - by_machine[e.machine]
+                                         : e.cpu_time;
   }
 };
 
 ClockAlignment estimate_clock_alignment(const Trace& trace,
                                         const Ordering& ordering);
+/// Same, with the trace's process index already built.
+ClockAlignment estimate_clock_alignment(const Trace& trace,
+                                        const Ordering& ordering,
+                                        const ProcIndex& procs);
 
 }  // namespace dpm::analysis

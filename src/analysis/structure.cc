@@ -82,10 +82,11 @@ const CommEdge* CommGraph::edge(const ProcKey& from, const ProcKey& to) const {
 }
 
 CommGraph build_comm_graph(const Trace& trace) {
-  return build_comm_graph(trace, ConnectionMatcher(trace));
+  return build_comm_graph(trace, ConnectionMatcher(trace), ProcIndex(trace));
 }
 
-CommGraph build_comm_graph(const Trace& trace, const ConnectionMatcher& matcher) {
+CommGraph build_comm_graph(const Trace& trace, const ConnectionMatcher& matcher,
+                           const ProcIndex& procs) {
   // Directed stream channels, keyed by the sending endpoint.
   std::map<std::pair<ProcKey, std::uint64_t>, Tally> chan_sends;
   std::map<std::pair<ProcKey, std::uint64_t>, Tally> chan_recvs;
@@ -144,7 +145,7 @@ CommGraph build_comm_graph(const Trace& trace, const ConnectionMatcher& matcher)
   }
 
   CommGraph g;
-  g.nodes = trace.processes();
+  g.nodes = procs.keys;
   for (const auto& [key, t] : edges) {
     g.edges.push_back(CommEdge{key.first, key.second, t.messages, t.bytes});
   }

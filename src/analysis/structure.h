@@ -64,7 +64,10 @@ struct CommGraph {
 };
 
 CommGraph build_comm_graph(const Trace& trace);
-CommGraph build_comm_graph(const Trace& trace, const ConnectionMatcher& matcher);
+/// Same, with the trace's connection matcher and process index already
+/// built; the index's keys are the graph's nodes.
+CommGraph build_comm_graph(const Trace& trace, const ConnectionMatcher& matcher,
+                           const ProcIndex& procs);
 
 /// Per-connection statistics: each matched stream connection with its
 /// traffic in both directions (the channel-level view of the structure

@@ -1,8 +1,9 @@
 // What the report sections share, each derived once per trace: the
-// deduced ordering (§4.1) and the clock alignment it yields, connection
-// matching, communication statistics, and one sweep of each process's
-// activity on the aligned clock. full_report builds one TraceAnalysis for
-// all its sections; the trace-only entry points build their own.
+// process index, the deduced ordering (§4.1) and the clock alignment it
+// yields, connection matching, communication statistics, and one sweep of
+// each process's activity on the aligned clock. full_report builds one
+// TraceAnalysis for all its sections; the trace-only entry points build
+// their own.
 #pragma once
 
 #include <cstdint>
@@ -34,6 +35,7 @@ struct TraceAnalysis {
   explicit TraceAnalysis(const Trace& trace);
 
   const Trace& trace;
+  ProcIndex procs;
   Ordering ordering;
   ClockAlignment clocks;
   ConnectionMatcher matcher;

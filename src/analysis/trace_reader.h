@@ -58,20 +58,35 @@ struct Trace {
   std::vector<Event> events;
   std::size_t malformed = 0;
 
+  /// Every process in the trace, once, in ProcKey order.
   std::vector<ProcKey> processes() const;
 };
 
+/// Dense process numbers for one trace, built in one pass: `keys` lists
+/// every process once in ProcKey order, and `slot[i]` is the position of
+/// events[i]'s process in `keys`. Per-event work indexes vectors by slot
+/// instead of looking a ProcKey up in a map.
+struct ProcIndex {
+  explicit ProcIndex(const Trace& trace);
+
+  std::vector<ProcKey> keys;
+  std::vector<std::uint32_t> slot;  // parallel to trace.events
+};
+
 /// Parses a filter log file's text. Lines are scanned as views straight
-/// into Events — no intermediate Record (or per-field string) is built, so
-/// large traces load without per-record churn. Produces the same events
-/// and malformed count as converting parse_trace's records one by one.
+/// into the Events' reserved slots — no intermediate Record (or per-field
+/// string) is built, so large traces load without per-record churn.
+/// Produces the same events and malformed count as converting
+/// parse_trace's records one by one.
 Trace read_trace(const std::string& text);
 
-/// Parses one trimmed, non-comment trace line into `e` — the per-line
-/// primitive read_trace is built on, exposed so streaming consumers
-/// (analysis/live/ TraceTailer) parse identically to the batch reader.
-/// False on a malformed token or an unknown/missing event name; the
-/// caller owns skipping blank/'#' lines and assigning `e.index`.
+/// Parses one trimmed, non-comment trace line into `e`, which the caller
+/// default-constructs — the per-line primitive read_trace is built on,
+/// exposed so streaming consumers (analysis/live/ TraceTailer) parse
+/// identically to the batch reader. When a field name repeats, its first
+/// occurrence wins (as in Record::find), `event=` included. False on a
+/// malformed token or an unknown/missing event name; the caller owns
+/// skipping blank/'#' lines and assigning `e.index`.
 bool parse_trace_event_line(std::string_view line, Event& e);
 
 }  // namespace dpm::analysis

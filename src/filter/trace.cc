@@ -112,13 +112,17 @@ std::optional<Record> parse_trace_line(const std::string& line) {
   const std::string trimmed{util::trim(line)};
   if (trimmed.empty() || trimmed[0] == '#') return std::nullopt;
   Record rec;
+  bool saw_event = false;
   for (const auto& tok : util::split(trimmed, " \t")) {
     auto eq = tok.find('=');
     if (eq == std::string::npos || eq == 0) return std::nullopt;
     const std::string name = tok.substr(0, eq);
     const std::string value = unescape_value(std::string_view(tok).substr(eq + 1));
     if (name == "event") {
-      rec.event_name = value;
+      // The first event= names the record, as the first occurrence of any
+      // field does for Record::find.
+      if (!saw_event) rec.event_name = value;
+      saw_event = true;
       continue;
     }
     if (auto n = util::parse_int(value)) {

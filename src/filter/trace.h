@@ -46,7 +46,9 @@ bool trace_line_view(const WirePlan& plan, const RecordView& v,
 std::string unescape_value(std::string_view s);
 
 /// Parses one trace line back into a Record (numbers become ints, other
-/// values strings). Returns nullopt for blank/comment lines.
+/// values strings). Returns nullopt for blank/comment lines. A repeated
+/// name keeps its first occurrence: `event=` names the record once, and
+/// Record::find reads the first of repeated fields.
 std::optional<Record> parse_trace_line(const std::string& line);
 
 /// Parses a whole log file; malformed lines are skipped and counted.

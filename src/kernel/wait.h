@@ -5,6 +5,7 @@
 // classic UNIX sleep/wakeup discipline.
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "sim/executive.h"
@@ -14,7 +15,14 @@ namespace dpm::kernel {
 struct WaitChannel {
   std::vector<sim::TaskId> waiters;
 
-  void add(sim::TaskId id) { waiters.push_back(id); }
+  /// Registers `id` once: a task that parks again before the channel wakes
+  /// (a select re-arming every socket it watches) keeps its first place,
+  /// which is where wake_all would have made it runnable anyway.
+  void add(sim::TaskId id) {
+    if (std::find(waiters.begin(), waiters.end(), id) == waiters.end()) {
+      waiters.push_back(id);
+    }
+  }
 
   void wake_all(sim::Executive& exec) {
     // Swap out first: a woken task may immediately re-register.

@@ -76,7 +76,9 @@ class Histogram {
   void record(std::int64_t v) {
     ++buckets_[bucket_of(v)];
     ++count_;
-    sum_ += v;
+    if (__builtin_add_overflow(sum_, v, &sum_)) {
+      sum_ = v < 0 ? INT64_MIN : INT64_MAX;  // saturate
+    }
     if (count_ == 1 || v < min_) min_ = v;
     if (v > max_) max_ = v;
   }

@@ -16,6 +16,7 @@ EventId EventQueue::schedule(util::TimePoint at, Fn fn) {
 void EventQueue::cancel(EventId id) { cancelled_.insert(id); }
 
 void EventQueue::drop_cancelled() const {
+  if (cancelled_.empty()) return;
   while (!heap_.empty() && cancelled_.erase(heap_.front().seq) > 0) {
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     heap_.pop_back();

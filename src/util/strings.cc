@@ -44,12 +44,25 @@ std::string to_lower(std::string_view s) {
   return out;
 }
 
+// std::from_chars' int64 grammar by hand (it is on the trace reader's
+// per-field path): an optional '-', then decimal digits; no '+', no spaces.
 std::optional<std::int64_t> parse_int(std::string_view s) {
-  if (s.empty()) return std::nullopt;
-  std::int64_t v = 0;
-  auto [p, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec != std::errc{} || p != s.data() + s.size()) return std::nullopt;
-  return v;
+  const char* p = s.data();
+  const char* const end = p + s.size();
+  const bool neg = p < end && *p == '-';
+  if (neg) ++p;
+  if (p == end) return std::nullopt;
+  while (p < end && *p == '0') ++p;  // leading zeros do not count
+  if (end - p > 19) return std::nullopt;  // > 19 digits overflows int64
+  std::uint64_t v = 0;
+  for (; p < end; ++p) {
+    const unsigned d = static_cast<unsigned char>(*p) - unsigned{'0'};
+    if (d > 9) return std::nullopt;
+    v = v * 10 + d;  // < 10^19: cannot wrap
+  }
+  const std::uint64_t limit = std::uint64_t{1} << 63;  // |INT64_MIN|
+  if (v > limit - (neg ? 0 : 1)) return std::nullopt;
+  return static_cast<std::int64_t>(neg ? 0 - v : v);
 }
 
 std::optional<std::int64_t> parse_int_base(std::string_view s, int base) {

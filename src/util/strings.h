@@ -19,7 +19,9 @@ std::vector<std::string> split_keep_empty(std::string_view s, char sep);
 std::string_view trim(std::string_view s);
 std::string to_lower(std::string_view s);
 
-/// Strict integer parse of the whole string (optionally signed).
+/// Strict integer parse of the whole string, accepting exactly what
+/// std::from_chars accepts for int64 (an optional '-', then decimal
+/// digits); nullopt on anything else or on overflow.
 std::optional<std::int64_t> parse_int(std::string_view s);
 /// Integer parse in the given base (2..16), whole string.
 std::optional<std::int64_t> parse_int_base(std::string_view s, int base);

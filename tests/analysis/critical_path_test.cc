@@ -3,6 +3,8 @@
 // program edges, per-channel wait time from message edges.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "analysis/live/aggregator.h"
 #include "analysis/trace_reader.h"
 #include "analysis_testing.h"
@@ -160,6 +162,39 @@ TEST(CriticalPath, GrowsMonotonicallyAsEventsStream) {
     EXPECT_EQ(cp.steps.size(), i);
     prev = cp.total_us;
   }
+}
+
+TEST(CriticalPath, ExtremeTimestampsSaturate) {
+  // A trace is outside input: stamps at both ends of the int64 range make
+  // latencies, path costs and window sums saturate instead of overflowing.
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  LiveAnalysis live = analyze({
+      {Stamp{0, 0, 0}, MeterConnect{1, 0, 5, "X", "Y"}},
+      {Stamp{1, 0, 0}, MeterAccept{2, 0, 7, 9, "Y", "X"}},
+      {Stamp{0, kMin, 0}, MeterSend{1, 0, 5, 64, ""}},
+      {Stamp{1, kMax, 0}, MeterRecv{2, 0, 9, 64, ""}},
+      {Stamp{1, kMax, 0}, MeterSend{2, 0, 9, 64, ""}},
+      {Stamp{0, kMin, 0}, MeterRecv{1, 0, 5, 64, ""}},
+  });
+  const auto st = live.stats();
+  EXPECT_EQ(st.message_pairs, 2u);
+  EXPECT_EQ(st.clock_anomalies, 1u);  // the reply, stamped kMax -> kMin
+  EXPECT_EQ(st.max_anomaly_us, kMax);
+  const auto cp = live.critical_path();
+  ASSERT_TRUE(cp.valid);
+  EXPECT_EQ(cp.total_us, kMax);
+  const ProcKey client{0, 1};
+  const ProcKey server{1, 2};
+  for (const auto& r : live.channel_rates()) {
+    if (r.from == client && r.to == server) {
+      EXPECT_EQ(r.last_latency_us, kMax);
+      EXPECT_EQ(r.avg_latency_us, static_cast<double>(kMax));
+    } else {
+      EXPECT_EQ(r.last_latency_us, kMin);
+    }
+  }
+  EXPECT_EQ(live.process_rates().size(), 2u);
 }
 
 }  // namespace

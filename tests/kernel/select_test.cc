@@ -146,5 +146,45 @@ TEST_F(SelectTest, ZeroTimeoutPolls) {
   EXPECT_LT(elapsed, 5000);  // effectively immediate
 }
 
+TEST_F(SelectTest, RepeatedSelectKeepsOneWaiterPerIdleSocket) {
+  // Every wakeup re-registers the task on every socket it watches; the
+  // idle sockets' channels must not collect a duplicate per round.
+  constexpr int kRounds = 20;
+  int received = 0;
+  std::vector<std::size_t> idle_waiters;
+  (void)world_.spawn(machines_[0], "rx", 100, [&](Sys& sys) {
+    std::vector<Fd> fds;
+    for (int port = 6010; port < 6013; ++port) {
+      auto fd = sys.socket(SockDomain::internet, SockType::dgram);
+      (void)sys.bind_port(*fd, port);
+      fds.push_back(*fd);
+    }
+    const Fd busy = fds.back();
+    while (received < kRounds) {
+      auto sel = sys.select(fds, false, util::sec(5));
+      ASSERT_TRUE(sel.ok());
+      ASSERT_FALSE(sel->timed_out);
+      ASSERT_TRUE(sys.recvfrom(busy).ok());
+      ++received;
+    }
+    Process* self = world_.find_process(machines_[0], sys.getpid());
+    for (std::size_t i = 0; i + 1 < fds.size(); ++i) {
+      Socket* s = world_.find_socket(self->fds.get(fds[i])->sock);
+      idle_waiters.push_back(s->readers.waiters.size());
+    }
+  });
+  (void)world_.spawn(machines_[0], "tx", 100, [&](Sys& sys) {
+    auto addr = sys.resolve("red", 6012);
+    auto fd = sys.socket(SockDomain::internet, SockType::dgram);
+    for (int i = 0; i < kRounds; ++i) {
+      sys.sleep(util::msec(2));
+      ASSERT_TRUE(sys.sendto(*fd, util::to_bytes("ping"), *addr).ok());
+    }
+  });
+  world_.run();
+  EXPECT_EQ(received, kRounds);
+  EXPECT_EQ(idle_waiters, (std::vector<std::size_t>{1, 1}));
+}
+
 }  // namespace
 }  // namespace dpm::kernel

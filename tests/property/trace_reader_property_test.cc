@@ -49,9 +49,10 @@ constexpr const char* kBlankOrComment[] = {
     "", "   ", "\t", "# comment", "  # indented comment", "#event=SEND pid=1",
 };
 
-/// One random log line: an event token somewhere among distinct numeric,
-/// text and unknown fields, sometimes a bad token, random separators and
-/// surrounding whitespace. Field names never repeat within a line.
+/// One random log line: an event token somewhere among numeric, text and
+/// unknown fields, sometimes a bad token, random separators and
+/// surrounding whitespace. Some lines repeat a field name or `event=` with
+/// another value: the first occurrence must win on both paths.
 std::string random_line(util::Rng& rng) {
   if (rng.bernoulli(0.1)) return pick(rng, kBlankOrComment);
   std::vector<std::string> tokens;
@@ -66,6 +67,17 @@ std::string random_line(util::Rng& rng) {
   add_fields(kTextFields);
   add_fields(kUnknownFields);
   if (rng.bernoulli(0.05)) tokens.push_back(pick(rng, kBadTokens));
+  if (!tokens.empty() && rng.bernoulli(0.3)) {
+    const std::string& t = tokens[static_cast<std::size_t>(
+        rng.uniform(0, static_cast<std::int64_t>(tokens.size()) - 1))];
+    const auto eq = t.find('=');
+    if (eq != std::string::npos && eq > 0) {
+      tokens.push_back(t.substr(0, eq + 1) + pick(rng, kValues));
+    }
+  }
+  if (rng.bernoulli(0.15)) {
+    tokens.push_back(std::string("event=") + pick(rng, kEventNames));
+  }
   for (std::size_t i = tokens.size(); i > 1; --i) {
     std::swap(tokens[i - 1],
               tokens[static_cast<std::size_t>(

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <charconv>
+
+#include "util/rng.h"
+
 namespace dpm::util {
 namespace {
 
@@ -34,6 +38,44 @@ TEST(ParseInt, StrictWholeString) {
   EXPECT_FALSE(parse_int("12x").has_value());
   EXPECT_FALSE(parse_int("").has_value());
   EXPECT_FALSE(parse_int(" 12").has_value());
+}
+
+/// The reference: std::from_chars over the whole string.
+std::optional<std::int64_t> from_chars_whole(std::string_view s) {
+  std::int64_t v = 0;
+  const auto [p, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (s.empty() || ec != std::errc{} || p != s.data() + s.size()) {
+    return std::nullopt;
+  }
+  return v;
+}
+
+TEST(ParseInt, MatchesFromChars) {
+  const std::string edges[] = {
+      "0", "-0", "007", "-007", "+5", "-", "--1", "", " 1", "1 ", "1e3",
+      "0x10", "9223372036854775807", "9223372036854775808",
+      "-9223372036854775808", "-9223372036854775809",
+      "99999999999999999999", "18446744073709551616",
+      "000000000000000000000000000000042",
+      "-00000000000000000000009223372036854775808",
+      "1234567890123456789", "12345678901234567890", ":", "/",
+  };
+  for (const std::string& s : edges) {
+    EXPECT_EQ(parse_int(s), from_chars_whole(s)) << '"' << s << '"';
+  }
+  // Seeded random strings over digits, signs and a few other bytes.
+  Rng rng(7);
+  constexpr char kAlphabet[] = "0123456789-+ x/:";
+  for (int i = 0; i < 20000; ++i) {
+    std::string s;
+    const auto len = rng.uniform(0, 24);
+    for (std::int64_t k = 0; k < len; ++k) {
+      const bool digit = rng.bernoulli(0.85);
+      s += digit ? static_cast<char>('0' + rng.uniform(0, 9))
+                 : kAlphabet[rng.uniform(10, sizeof kAlphabet - 2)];
+    }
+    ASSERT_EQ(parse_int(s), from_chars_whole(s)) << '"' << s << '"';
+  }
 }
 
 TEST(ParseIntBase, Hex) {
